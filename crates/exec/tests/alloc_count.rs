@@ -21,6 +21,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use pdb_exec::{baseline, ops, Annotated};
 use pdb_storage::{tuple, DataType, ProbTable, Schema, Variable};
@@ -47,6 +48,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// The allocation counter is process-global, and libtest runs tests on
+/// several threads at once. Every test holds this lock for its whole body,
+/// input construction included, so no test counts another's allocations.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the others still run one at a time.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn allocations(f: impl FnOnce()) -> usize {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -82,6 +95,7 @@ fn join_inputs(groups: i64, per_key: i64) -> (Annotated, Annotated) {
 
 #[test]
 fn join_lineage_growth_is_amortized_slice_append() {
+    let _serial = serial();
     let (left, right) = join_inputs(100, 50);
     let output_rows = 100 * 50;
 
@@ -128,6 +142,7 @@ fn join_lineage_growth_is_amortized_slice_append() {
 
 #[test]
 fn sort_and_dedup_allocate_bounded_scratch() {
+    let _serial = serial();
     let (left, right) = join_inputs(50, 40);
     let joined = ops::natural_join(&left, &right).unwrap();
     let rows = joined.len();
@@ -222,6 +237,7 @@ fn confidence_inputs(
 
 #[test]
 fn parallel_sort_key_build_allocates_bounded_scratch() {
+    let _serial = serial();
     use pdb_exec::key::SortKeys;
     use pdb_storage::Value;
 
@@ -271,6 +287,7 @@ fn parallel_sort_key_build_allocates_bounded_scratch() {
 
 #[test]
 fn chunked_parallel_pipeline_allocates_bounded_scratch() {
+    let _serial = serial();
     use pdb_exec::pipeline::evaluate_join_order_with;
     use pdb_par::Pool;
     use pdb_query::{CompareOp, ConjunctiveQuery, Predicate};
@@ -352,6 +369,7 @@ fn chunked_parallel_pipeline_allocates_bounded_scratch() {
 
 #[test]
 fn one_scan_inner_loop_allocates_sublinearly() {
+    let _serial = serial();
     use pdb_conf::baseline::one_scan_confidences_recursive;
     use pdb_conf::one_scan::one_scan_confidences_with;
     use pdb_conf::Pool;
@@ -400,6 +418,7 @@ fn one_scan_inner_loop_allocates_sublinearly() {
 
 #[test]
 fn bitmask_scan_allocates_bounded_scratch() {
+    let _serial = serial();
     // PR 7: the masked columnar scan builds one fixed-width bitmask per
     // chunk (16 u64 words for 1024 rows) and gathers survivors into
     // popcount-pre-sized arenas — no per-row Vec growth anywhere. The
@@ -447,6 +466,7 @@ fn bitmask_scan_allocates_bounded_scratch() {
 
 #[test]
 fn late_materialization_decodes_at_most_the_output_strings() {
+    let _serial = serial();
     // PR 7: string head columns ride the pipeline as dictionary ranks; an
     // `Arc<str>` is materialized only per string cell of the *final*
     // answer, never per intermediate row. The filter drops 3/4 of the rows
@@ -502,6 +522,7 @@ fn late_materialization_decodes_at_most_the_output_strings() {
 
 #[test]
 fn partitioned_join_scatter_allocates_o_chunks_plus_partitions() {
+    let _serial = serial();
     // PR 5: the radix scatter is a counting sort over per-chunk histograms
     // — one histogram per chunk, one flat scatter buffer, one cursor array
     // per chunk — instead of `chunks x partitions` growing Vec<u32> lists.

@@ -184,9 +184,10 @@ impl<'a> Planner<'a> {
     /// Attaches a per-query observability collector to every plan the
     /// planner executes: scans, joins, aggregations, and confidence stages
     /// tally deterministic counters into it, and — when the collector has
-    /// tracing enabled — the planner records `plan` / `plan.tuples` /
-    /// `plan.confidence` spans around each phase. Pure telemetry: answers,
-    /// row order, and confidences stay bitwise-identical.
+    /// tracing enabled — the planner records `plan` / `plan.build` /
+    /// `plan.tuples` / `plan.confidence` spans around each phase. Pure
+    /// telemetry: answers, row order, and confidences stay
+    /// bitwise-identical.
     pub fn with_obs(mut self, obs: Arc<QueryObs>) -> Self {
         self.obs = Some(obs);
         self
@@ -305,11 +306,15 @@ impl<'a> Planner<'a> {
     fn execute_exact(&self, query: &ConjunctiveQuery, kind: PlanKind) -> PlanResult<PlanReport> {
         let fds = self.fds();
         // Span-only context: the plans carry their own governed contexts; this
-        // one just brackets the planner's two phases in the trace.
+        // one just brackets the planner's phases (build, tuples, confidence)
+        // in the trace.
         let obs_ctx = ExecContext::unbounded().with_obs_opt(self.obs.as_ref());
         match &kind {
             PlanKind::Lazy => {
-                let mut plan = LazyPlan::build(query, &fds, self.catalog)?;
+                let mut plan = {
+                    let _span = obs_ctx.span("plan.build");
+                    LazyPlan::build(query, &fds, self.catalog)?
+                };
                 if let Some(gov) = &self.governor {
                     plan = plan.with_governor(gov.clone());
                 }
@@ -342,7 +347,10 @@ impl<'a> Planner<'a> {
                 })
             }
             PlanKind::Eager => {
-                let mut plan = EagerPlan::build(query, &fds)?;
+                let mut plan = {
+                    let _span = obs_ctx.span("plan.build");
+                    EagerPlan::build(query, &fds)?
+                };
                 if let Some(gov) = &self.governor {
                     plan = plan.with_governor(gov.clone());
                 }
@@ -373,7 +381,10 @@ impl<'a> Planner<'a> {
             }
             PlanKind::Hybrid(pushed) => {
                 let pushed_refs: Vec<&str> = pushed.iter().map(|s| s.as_str()).collect();
-                let mut plan = HybridPlan::build(query, &fds, self.catalog, &pushed_refs)?;
+                let mut plan = {
+                    let _span = obs_ctx.span("plan.build");
+                    HybridPlan::build(query, &fds, self.catalog, &pushed_refs)?
+                };
                 if let Some(gov) = &self.governor {
                     plan = plan.with_governor(gov.clone());
                 }
@@ -432,7 +443,10 @@ impl<'a> Planner<'a> {
                 } else {
                     ProbAggregation::Stable
                 };
-                let plan = SafePlan::build_with_aggregation(query, &fds, aggregation)?;
+                let plan = {
+                    let _span = obs_ctx.span("plan.build");
+                    SafePlan::build_with_aggregation(query, &fds, aggregation)?
+                };
                 let span = obs_ctx.span("plan.tuples");
                 let start = Instant::now();
                 let confidences = plan.execute(self.catalog)?;
@@ -461,8 +475,11 @@ impl<'a> Planner<'a> {
         let policy = self
             .approx_policy
             .expect("fallback runs only with a policy");
-        let mut plan =
-            FallbackPlan::build(query, self.catalog, policy)?.with_seed(self.approx_seed);
+        let obs_ctx = ExecContext::unbounded().with_obs_opt(self.obs.as_ref());
+        let mut plan = {
+            let _span = obs_ctx.span("plan.build");
+            FallbackPlan::build(query, self.catalog, policy)?.with_seed(self.approx_seed)
+        };
         if let Some(gov) = &self.governor {
             plan = plan.with_governor(gov.clone());
         }
@@ -475,7 +492,6 @@ impl<'a> Planner<'a> {
         if let Some(obs) = &self.obs {
             plan = plan.with_obs(obs.clone());
         }
-        let obs_ctx = ExecContext::unbounded().with_obs_opt(self.obs.as_ref());
         let span = obs_ctx.span("plan.tuples");
         let start = Instant::now();
         let answer = plan.answer_tuples(self.catalog)?;

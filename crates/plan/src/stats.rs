@@ -8,68 +8,39 @@
 //! equi-joins.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use pdb_query::{CompareOp, ConjunctiveQuery, Predicate};
-use pdb_storage::{Catalog, StorageBacking};
+use pdb_storage::{Catalog, TableStats};
 
 use crate::error::PlanResult;
-
-/// Statistics of one table: cardinality and per-column distinct counts.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TableStats {
-    /// Number of tuples.
-    pub cardinality: usize,
-    /// Distinct values per column.
-    pub distinct: BTreeMap<String, usize>,
-    /// Largest per-chunk distinct-count hint per column, from the columnar
-    /// zone statistics (absent for row-backed tables). A column whose
-    /// chunks each hold few distinct values clusters well: an `Eq`/`In`
-    /// probe touches roughly `chunk_distinct / distinct` of its chunks
-    /// after zone pruning.
-    pub chunk_distinct: BTreeMap<String, usize>,
-}
 
 /// Statistics for all tables referenced by a query.
 #[derive(Debug, Clone, Default)]
 pub struct Statistics {
-    tables: BTreeMap<String, TableStats>,
+    tables: BTreeMap<String, Arc<TableStats>>,
 }
 
 impl Statistics {
     /// Collects statistics for every relation of `query` from `catalog`.
-    /// Works on either storage backing — columnar tables answer distinct
-    /// counts from their typed columns (dictionary sizes for strings)
-    /// without materialising a row view.
+    /// Each table's statistics are computed once per registered backing
+    /// (see [`Catalog::stats`]) and read from the catalog afterwards, the
+    /// way a host engine's optimizer reads its catalog statistics instead
+    /// of scanning base tables for every plan.
     ///
     /// # Errors
     /// Fails if a referenced table is missing.
     pub fn collect(query: &ConjunctiveQuery, catalog: &Catalog) -> PlanResult<Statistics> {
         let mut tables = BTreeMap::new();
         for atom in &query.relations {
-            let table = catalog.backing(&atom.name)?;
-            let mut distinct = BTreeMap::new();
-            let mut chunk_distinct = BTreeMap::new();
-            for col in table.schema().names().into_iter().map(str::to_string) {
-                distinct.insert(col.clone(), table.distinct_count(&col)?);
-                if let StorageBacking::Columnar(t) = &table {
-                    chunk_distinct.insert(col.clone(), t.max_chunk_distinct(&col)?);
-                }
-            }
-            tables.insert(
-                atom.name.clone(),
-                TableStats {
-                    cardinality: table.len(),
-                    distinct,
-                    chunk_distinct,
-                },
-            );
+            tables.insert(atom.name.clone(), catalog.stats(&atom.name)?);
         }
         Ok(Statistics { tables })
     }
 
     /// Statistics of a single table, if collected.
     pub fn table(&self, name: &str) -> Option<&TableStats> {
-        self.tables.get(name)
+        self.tables.get(name).map(Arc::as_ref)
     }
 
     /// Estimated selectivity of a constant predicate, in `[0, 1]`.
@@ -77,12 +48,7 @@ impl Statistics {
         let Some(stats) = self.tables.get(&predicate.relation) else {
             return 1.0;
         };
-        let distinct = stats
-            .distinct
-            .get(&predicate.attribute)
-            .copied()
-            .unwrap_or(1)
-            .max(1) as f64;
+        let distinct = stats.distinct(&predicate.attribute).unwrap_or(1).max(1) as f64;
         match predicate.op {
             CompareOp::Eq => 1.0 / distinct,
             CompareOp::Ne => 1.0 - 1.0 / distinct,
@@ -110,15 +76,10 @@ impl Statistics {
         let Some(stats) = self.tables.get(&predicate.relation) else {
             return 1.0;
         };
-        let Some(&chunk) = stats.chunk_distinct.get(&predicate.attribute) else {
+        let Some(chunk) = stats.chunk_distinct(&predicate.attribute) else {
             return 1.0;
         };
-        let distinct = stats
-            .distinct
-            .get(&predicate.attribute)
-            .copied()
-            .unwrap_or(1)
-            .max(1) as f64;
+        let distinct = stats.distinct(&predicate.attribute).unwrap_or(1).max(1) as f64;
         (in_list_len(predicate) as f64 * chunk as f64 / distinct).min(1.0)
     }
 
@@ -180,13 +141,11 @@ impl Statistics {
             let d_right = self
                 .tables
                 .get(relation)
-                .and_then(|s| s.distinct.get(attr))
-                .copied()
+                .and_then(|s| s.distinct(attr))
                 .unwrap_or(1);
             let d_left = left_tables
                 .iter()
-                .filter_map(|t| self.tables.get(t).and_then(|s| s.distinct.get(attr)))
-                .copied()
+                .filter_map(|t| self.tables.get(t).and_then(|s| s.distinct(attr)))
                 .max()
                 .unwrap_or(1);
             result /= d_left.max(d_right).max(1) as f64;
@@ -222,7 +181,7 @@ mod tests {
         let stats = Statistics::collect(&q, &catalog).unwrap();
         assert_eq!(stats.table("Cust").unwrap().cardinality, 4);
         assert_eq!(stats.table("Ord").unwrap().cardinality, 6);
-        assert_eq!(stats.table("Ord").unwrap().distinct["ckey"], 3);
+        assert_eq!(stats.table("Ord").unwrap().distinct("ckey"), Some(3));
         assert!(stats.table("Missing").is_none());
     }
 
@@ -282,7 +241,7 @@ mod tests {
         let p = Predicate::is_in("Cust", "cname", ["a", "b", "c", "d", "e", "f"]);
         assert!((stats.predicate_selectivity(&p) - 1.0).abs() < 1e-12);
         // Row-backed tables collect no chunk hints: no pruning estimate.
-        assert!(stats.table("Cust").unwrap().chunk_distinct.is_empty());
+        assert_eq!(stats.table("Cust").unwrap().chunk_distinct("cname"), None);
         assert!((stats.scan_fraction(&p) - 1.0).abs() < 1e-12);
     }
 
@@ -313,7 +272,7 @@ mod tests {
         )
         .unwrap();
         let stats = Statistics::collect(&q, &catalog).unwrap();
-        assert_eq!(stats.table("T").unwrap().chunk_distinct["g"], 1);
+        assert_eq!(stats.table("T").unwrap().chunk_distinct("g"), Some(1));
         let eq = &q.predicates[0];
         assert!((stats.scan_fraction(eq) - 0.25).abs() < 1e-12);
         // IN over two groups doubles the estimate; ordered operators and

@@ -8,13 +8,14 @@
 //! declarations; the query crate interprets them.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
 use crate::columnar::ColumnarTable;
 use crate::error::{StorageError, StorageResult};
 use crate::schema::Schema;
+use crate::stats::TableStats;
 use crate::table::ProbTable;
 
 /// The physical representation a catalog entry is stored in.
@@ -60,9 +61,27 @@ impl StorageBacking {
     /// Fails on unknown columns.
     pub fn distinct_count(&self, name: &str) -> StorageResult<usize> {
         match self {
-            StorageBacking::Row(t) => Ok(t.data().distinct_values(name)?.len()),
+            StorageBacking::Row(t) => t.data().distinct_count(name),
             StorageBacking::Columnar(t) => t.distinct_count(name),
         }
+    }
+}
+
+/// One registered table: its backing plus the planner statistics of that
+/// backing, computed on first use. Replacing a table registers a new entry,
+/// so stale statistics are never served.
+#[derive(Debug)]
+struct CatalogEntry {
+    backing: StorageBacking,
+    stats: OnceLock<Arc<TableStats>>,
+}
+
+impl CatalogEntry {
+    fn new(backing: StorageBacking) -> Arc<CatalogEntry> {
+        Arc::new(CatalogEntry {
+            backing,
+            stats: OnceLock::new(),
+        })
     }
 }
 
@@ -88,7 +107,7 @@ pub struct Catalog {
 
 #[derive(Debug, Default)]
 struct CatalogInner {
-    tables: BTreeMap<String, StorageBacking>,
+    tables: BTreeMap<String, Arc<CatalogEntry>>,
     /// Materialised row views of columnar backings, built lazily for
     /// consumers that still require a [`ProbTable`] (see [`Catalog::table`]).
     row_views: BTreeMap<String, Arc<ProbTable>>,
@@ -136,7 +155,7 @@ impl Catalog {
         if inner.tables.contains_key(&name) {
             return Err(StorageError::DuplicateTable(name));
         }
-        inner.tables.insert(name, backing);
+        inner.tables.insert(name, CatalogEntry::new(backing));
         Ok(())
     }
 
@@ -145,9 +164,10 @@ impl Catalog {
         let name = name.into();
         let mut inner = self.inner.write();
         inner.row_views.remove(&name);
-        inner
-            .tables
-            .insert(name, StorageBacking::Row(Arc::new(table)));
+        inner.tables.insert(
+            name,
+            CatalogEntry::new(StorageBacking::Row(Arc::new(table))),
+        );
     }
 
     /// The storage backing registered under `name` — the representation
@@ -156,6 +176,25 @@ impl Catalog {
     /// # Errors
     /// Returns [`StorageError::UnknownTable`] if no such table exists.
     pub fn backing(&self, name: &str) -> StorageResult<StorageBacking> {
+        Ok(self.entry(name)?.backing.clone())
+    }
+
+    /// The planner statistics of the table registered under `name`:
+    /// computed by one pass over its columns on first use, then served from
+    /// the entry. The pass runs outside the catalog lock; threads racing the
+    /// first use wait for the one computation and share its result.
+    ///
+    /// # Errors
+    /// Returns [`StorageError::UnknownTable`] if no such table exists.
+    pub fn stats(&self, name: &str) -> StorageResult<Arc<TableStats>> {
+        let entry = self.entry(name)?;
+        Ok(entry
+            .stats
+            .get_or_init(|| Arc::new(TableStats::compute(&entry.backing)))
+            .clone())
+    }
+
+    fn entry(&self, name: &str) -> StorageResult<Arc<CatalogEntry>> {
         self.inner
             .read()
             .tables
@@ -175,7 +214,7 @@ impl Catalog {
     pub fn table(&self, name: &str) -> StorageResult<Arc<ProbTable>> {
         {
             let inner = self.inner.read();
-            match inner.tables.get(name) {
+            match inner.tables.get(name).map(|e| &e.backing) {
                 Some(StorageBacking::Row(t)) => return Ok(t.clone()),
                 Some(StorageBacking::Columnar(_)) => {
                     if let Some(view) = inner.row_views.get(name) {
@@ -192,7 +231,7 @@ impl Catalog {
         if let Some(view) = inner.row_views.get(name) {
             return Ok(view.clone());
         }
-        let columnar = match inner.tables.get(name).cloned() {
+        let columnar = match inner.tables.get(name).map(|e| e.backing.clone()) {
             Some(StorageBacking::Columnar(c)) => c,
             Some(StorageBacking::Row(t)) => return Ok(t),
             None => return Err(StorageError::UnknownTable(name.to_string())),
@@ -260,6 +299,7 @@ impl Catalog {
         for (table, key) in &inner.keys {
             if let Some(t) = inner.tables.get(table) {
                 let rhs: Vec<String> = t
+                    .backing
                     .schema()
                     .names()
                     .into_iter()
@@ -280,7 +320,12 @@ impl Catalog {
 
     /// Total number of tuples across all registered tables.
     pub fn total_tuples(&self) -> usize {
-        self.inner.read().tables.values().map(|t| t.len()).sum()
+        self.inner
+            .read()
+            .tables
+            .values()
+            .map(|e| e.backing.len())
+            .sum()
     }
 }
 
@@ -375,6 +420,64 @@ mod tests {
             c.register_table("Cust", small_table()),
             Err(StorageError::DuplicateTable(_))
         ));
+    }
+
+    #[test]
+    fn stats_are_cached_per_entry_and_renewed_on_replace() {
+        let c = Catalog::new();
+        c.register_table("Cust", small_table()).unwrap();
+        let first = c.stats("Cust").unwrap();
+        assert_eq!(first.cardinality, 2);
+        assert_eq!(first.distinct("cname"), Some(2));
+        // Served from the entry: the same Arc on every later call.
+        assert!(Arc::ptr_eq(&first, &c.stats("Cust").unwrap()));
+        // A replaced table gets fresh statistics.
+        let mut bigger = small_table();
+        bigger
+            .insert(tuple![3i64, "Joe"], Variable(2), 0.3)
+            .unwrap();
+        bigger
+            .insert(tuple![4i64, "Eve"], Variable(3), 0.4)
+            .unwrap();
+        c.replace_table("Cust", bigger);
+        let second = c.stats("Cust").unwrap();
+        assert_eq!(second.cardinality, 4);
+        assert_eq!(second.distinct("ckey"), Some(4));
+        assert_eq!(second.distinct("cname"), Some(3));
+        // The old snapshot is untouched.
+        assert_eq!(first.cardinality, 2);
+        assert!(matches!(
+            c.stats("Nope"),
+            Err(StorageError::UnknownTable(_))
+        ));
+    }
+
+    #[test]
+    fn racing_first_use_shares_one_computation() {
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("g", DataType::Str)]).unwrap();
+        let mut t = ProbTable::new(schema);
+        for r in 0..5000i64 {
+            let g = ["x", "y", "z"][(r % 3) as usize];
+            t.insert(tuple![r % 701, g], Variable(r as u64), 0.5)
+                .unwrap();
+        }
+        let c = Catalog::new();
+        let columnar = ColumnarTable::from_prob_table(&t, &pdb_par::Pool::sequential()).unwrap();
+        c.register_columnar("T", columnar).unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let first = || {
+                barrier.wait();
+                c.stats("T").unwrap()
+            };
+            let a = s.spawn(first);
+            let b = s.spawn(first);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(*a, *b);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a.distinct("k"), Some(701));
+        assert_eq!(a.distinct("g"), Some(3));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use std::sync::Arc;
 
 use crate::schema::DataType;
+use crate::stats::count_distinct;
 use crate::value::Value;
 
 /// A null bitmap: bit `r` is set iff row `r` is SQL NULL.
@@ -163,52 +164,46 @@ impl ColumnData {
 
     /// Number of distinct values in the column, NULL counted as one value —
     /// the same count [`crate::table::Table::distinct_values`] produces on
-    /// the row representation (the planner's statistics source).
+    /// the row representation (the planner's statistics source). Sorts and
+    /// deduplicates the typed keys of the non-null rows.
     pub fn distinct_count(&self, rows: usize) -> usize {
-        use std::collections::BTreeSet;
-        let has_null = (0..rows).any(|r| self.is_null(r));
-        let non_null = match self {
-            ColumnData::Int { values, nulls } => (0..rows)
-                .filter(|&r| !nulls.is_null(r))
-                .map(|r| values[r])
-                .collect::<BTreeSet<_>>()
-                .len(),
-            ColumnData::Float { values, nulls } => (0..rows)
-                .filter(|&r| !nulls.is_null(r))
-                // Fold -0.0 onto 0.0 and all NaNs together, matching
-                // `Value`'s total order (one distinct NaN, -0.0 == 0.0).
-                .map(|r| {
-                    let f = values[r];
-                    if f.is_nan() {
-                        f64::NAN.to_bits()
-                    } else if f == 0.0 {
-                        0.0f64.to_bits()
-                    } else {
-                        f.to_bits()
-                    }
-                })
-                .collect::<BTreeSet<_>>()
-                .len(),
-            // The dictionary is exactly the distinct non-null strings.
-            ColumnData::Str { dict, .. } => dict.len(),
-            ColumnData::Date { values, nulls } => (0..rows)
-                .filter(|&r| !nulls.is_null(r))
-                .map(|r| values[r])
-                .collect::<BTreeSet<_>>()
-                .len(),
-            ColumnData::Bool { values, nulls } => (0..rows)
-                .filter(|&r| !nulls.is_null(r))
-                .map(|r| values[r])
-                .collect::<BTreeSet<_>>()
-                .len(),
-            ColumnData::Mixed { values } => {
-                // `Value`'s own total order already equates -0.0/0.0, NaNs,
-                // and cross-type numeric equals — and includes NULL, so
-                // return directly.
-                return values[..rows].iter().collect::<BTreeSet<_>>().len();
+        /// Distinct keys among the non-null rows, plus one if any row is NULL.
+        fn typed<K: Ord>(rows: usize, nulls: &NullBitmap, key: impl Fn(usize) -> K) -> usize {
+            let mut keys = Vec::with_capacity(rows);
+            let mut has_null = false;
+            for r in 0..rows {
+                if nulls.is_null(r) {
+                    has_null = true;
+                } else {
+                    keys.push(key(r));
+                }
             }
-        };
-        non_null + has_null as usize
+            count_distinct(keys) + has_null as usize
+        }
+        match self {
+            ColumnData::Int { values, nulls } => typed(rows, nulls, |r| values[r]),
+            // Fold -0.0 onto 0.0 and all NaNs together, matching `Value`'s
+            // total order (one distinct NaN, -0.0 == 0.0).
+            ColumnData::Float { values, nulls } => typed(rows, nulls, |r| {
+                let f = values[r];
+                if f.is_nan() {
+                    f64::NAN.to_bits()
+                } else if f == 0.0 {
+                    0.0f64.to_bits()
+                } else {
+                    f.to_bits()
+                }
+            }),
+            // The dictionary is exactly the distinct non-null strings.
+            ColumnData::Str { dict, nulls, .. } => {
+                dict.len() + (nulls.count_nulls(0..rows) > 0) as usize
+            }
+            ColumnData::Date { values, nulls } => typed(rows, nulls, |r| values[r]),
+            ColumnData::Bool { values, nulls } => typed(rows, nulls, |r| values[r]),
+            // `Value`'s own total order already equates -0.0/0.0, NaNs, and
+            // cross-type numeric equals — and includes NULL.
+            ColumnData::Mixed { values } => count_distinct(values[..rows].iter().collect()),
+        }
     }
 
     /// Whether `value` is the canonical variant for a column of `data_type`

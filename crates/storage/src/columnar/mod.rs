@@ -189,12 +189,16 @@ impl ColumnarTable {
     /// # Errors
     /// Fails on unknown columns.
     pub fn max_chunk_distinct(&self, name: &str) -> StorageResult<usize> {
-        let c = self.schema.index_of(name)?;
-        Ok(self.zones[c]
+        Ok(self.max_chunk_distinct_at(self.schema.index_of(name)?))
+    }
+
+    /// [`max_chunk_distinct`](Self::max_chunk_distinct) of column `c`.
+    pub(crate) fn max_chunk_distinct_at(&self, c: usize) -> usize {
+        self.zones[c]
             .iter()
             .map(|z| z.distinct as usize)
             .max()
-            .unwrap_or(0))
+            .unwrap_or(0)
     }
 
     /// Materialises the row representation (same rows, same variables, same
@@ -608,6 +612,53 @@ mod tests {
             );
         }
         assert!(col.distinct_count("missing").is_err());
+
+        // NaN payloads fold to one value, -0.0 onto 0.0, and NULL counts
+        // once, on both backings: typed Float/Int/Bool columns and a Mixed
+        // column (integers stored in a FLOAT column).
+        let schema = Schema::from_pairs(&[
+            ("f", DataType::Float),
+            ("i", DataType::Int),
+            ("b", DataType::Bool),
+            ("m", DataType::Float),
+        ])
+        .unwrap();
+        let other_nan = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        assert!(other_nan.is_nan());
+        let floats = [f64::NAN, -0.0, 0.0, other_nan, 1.5, -f64::NAN];
+        let mut table = ProbTable::new(schema);
+        for r in 0..150usize {
+            let null = r % 11 == 4;
+            let pick = |v: Value| if null { Value::Null } else { v };
+            let mixed = match r % 4 {
+                0 => Value::Int(0),
+                1 => Value::Float(-0.0),
+                2 => Value::Float(f64::NAN),
+                _ => Value::Int(2),
+            };
+            table
+                .insert(
+                    Tuple::new(vec![
+                        pick(Value::Float(floats[r % floats.len()])),
+                        pick(Value::Int((r % 3) as i64)),
+                        pick(Value::Bool(r % 2 == 0)),
+                        pick(mixed),
+                    ]),
+                    Variable(r as u64),
+                    0.5,
+                )
+                .unwrap();
+        }
+        let col = ColumnarTable::from_prob_table_chunked(&table, &Pool::new(2), 64).unwrap();
+        assert!(matches!(col.column(3), ColumnData::Mixed { .. }));
+        // {NaN, 0.0, 1.5, NULL}, {0, 1, 2, NULL}, {false, true, NULL},
+        // {0, NaN, 2, NULL}.
+        for (name, expected) in [("f", 4), ("i", 4), ("b", 3), ("m", 4)] {
+            let oracle = table.data().distinct_values(name).unwrap().len();
+            assert_eq!(oracle, expected, "column {name}");
+            assert_eq!(table.data().distinct_count(name).unwrap(), expected);
+            assert_eq!(col.distinct_count(name).unwrap(), expected, "column {name}");
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod catalog;
 pub mod columnar;
 pub mod error;
 pub mod schema;
+pub mod stats;
 pub mod table;
 pub mod tuple;
 pub mod value;
@@ -40,6 +41,7 @@ pub use catalog::{Catalog, StorageBacking};
 pub use columnar::{ColumnData, ColumnarTable, NullBitmap, ZoneMap};
 pub use error::{StorageError, StorageResult};
 pub use schema::{Column, DataType, Schema};
+pub use stats::{ColumnStats, TableStats};
 pub use table::{ProbTable, Table};
 pub use tuple::Tuple;
 pub use value::{total_f64_cmp, Value};

@@ -6,6 +6,7 @@ use std::fmt;
 
 use crate::error::{StorageError, StorageResult};
 use crate::schema::Schema;
+use crate::stats::count_distinct;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::variable::{Probability, Variable, VariableGenerator};
@@ -117,6 +118,22 @@ impl Table {
     pub fn distinct_values(&self, column: &str) -> StorageResult<BTreeSet<Value>> {
         let idx = self.schema.index_of(column)?;
         Ok(self.rows.iter().map(|r| r.value(idx).clone()).collect())
+    }
+
+    /// Number of distinct values in the named column, NULL counted as one
+    /// value: the length of [`distinct_values`](Self::distinct_values),
+    /// counted without cloning a value.
+    ///
+    /// # Errors
+    /// Returns [`StorageError::UnknownColumn`] if the column is missing.
+    pub fn distinct_count(&self, column: &str) -> StorageResult<usize> {
+        Ok(self.distinct_count_at(self.schema.index_of(column)?))
+    }
+
+    /// [`distinct_count`](Self::distinct_count) of the column at schema
+    /// position `idx`.
+    pub(crate) fn distinct_count_at(&self, idx: usize) -> usize {
+        count_distinct(self.rows.iter().map(|r| r.value(idx)).collect())
     }
 }
 
